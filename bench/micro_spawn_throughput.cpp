@@ -1,64 +1,64 @@
 // Microbenchmark: task spawn/join throughput of the scheduling hot path.
 //
 // Runs the paper's Fibonacci workload (one task per recursive branch, the
-// finest grain the runtime supports) under the lock-free work-stealing
-// policy and the mutex-based baseline it replaced, at 1/2/4 VPs, and
-// reports tasks/second plus the scheduler counters that explain the result
-// (steal rate vs LIFO depth, join inlining, eventcount wakeups). Emits
-// machine-readable results to BENCH_spawn.json (override with --out=...).
+// finest grain the runtime supports) under the work-stealing policy at
+// 1/2/4 VPs, and reports tasks/second, the speedup over 1 VP, plus the
+// scheduler counters that explain the result (steal rate vs LIFO depth,
+// join inlining, eventcount wakeups). Reps are interleaved round-robin
+// over the VP counts, so host noise hits every VP count alike; speedups
+// compare medians. Emits machine-readable results to BENCH_spawn.json
+// (override with --out=...).
 //
 // Flags: --fib=N (default 21)  --reps=R (default 3)  --out=PATH
+//        --min-speedup4=X  exit 1 unless the 4-VP median throughput is at
+//                          least X times the 1-VP median (0 = no gate;
+//                          scripts/check.sh --scaling sets 2.5)
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "anahy/runtime.hpp"
 #include "apps/fib_app.hpp"
 #include "benchutil/cli.hpp"
+#include "benchutil/stats.hpp"
 #include "benchutil/table.hpp"
 #include "benchutil/timer.hpp"
 
 namespace {
 
+constexpr int kVpCounts[] = {1, 2, 4};
+
 struct Result {
-  std::string policy;
+  std::string policy = to_string(anahy::PolicyKind::kWorkStealing);
   int vps = 0;
-  double best_seconds = 0;   // best of reps: least-noise throughput estimate
-  double mean_seconds = 0;
-  double tasks_per_sec = 0;  // from best_seconds
+  benchutil::RunStats seconds;  // one sample per rep
   anahy::RuntimeStats::Snapshot stats;  // from the last rep
+  [[nodiscard]] double tasks_per_sec(long fib_n) const {
+    return static_cast<double>(apps::fib_task_count(fib_n)) / seconds.min();
+  }
 };
 
-Result run_config(anahy::PolicyKind policy, int vps, long fib_n, int reps) {
-  Result r;
-  r.policy = to_string(policy);
-  r.vps = vps;
-  const long tasks = apps::fib_task_count(fib_n);
-  double total = 0;
-  double best = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    anahy::Options o;
-    o.num_vps = vps;
-    o.policy = policy;
-    anahy::Runtime rt(o);
-    // Warm the pools/TLBs with a tiny run before timing.
-    (void)apps::fib_anahy(rt, 5);
-    benchutil::Timer t;
-    const long got = apps::fib_anahy(rt, fib_n);
-    const double s = t.elapsed_seconds();
-    if (got != apps::fib_sequential(fib_n)) {
-      std::fprintf(stderr, "FATAL: wrong fib result under %s/%d vps\n",
-                   r.policy.c_str(), vps);
-      std::exit(1);
-    }
-    total += s;
-    if (rep == 0 || s < best) best = s;
-    r.stats = rt.stats();
+/// One timed fib(fib_n) on a fresh `vps`-VP runtime, checked.
+void run_once(Result& r, long fib_n) {
+  anahy::Options o;
+  o.num_vps = r.vps;
+  anahy::Runtime rt(o);
+  // Warm the pools/TLBs with a tiny run before timing.
+  (void)apps::fib_anahy(rt, 5);
+  benchutil::Timer t;
+  const long got = apps::fib_anahy(rt, fib_n);
+  r.seconds.add(t.elapsed_seconds());
+  if (got != apps::fib_sequential(fib_n)) {
+    std::fprintf(stderr, "FATAL: wrong fib result at %d vps\n", r.vps);
+    std::exit(1);
   }
-  r.best_seconds = best;
-  r.mean_seconds = total / reps;
-  r.tasks_per_sec = static_cast<double>(tasks) / best;
-  return r;
+  r.stats = rt.stats();
+}
+
+/// Median throughput of `r` over the 1-VP median.
+double speedup(const std::vector<Result>& results, const Result& r) {
+  return results.front().seconds.median() / r.seconds.median();
 }
 
 void write_json(const std::string& path, long fib_n, int reps,
@@ -81,13 +81,15 @@ void write_json(const std::string& path, long fib_n, int reps,
     std::fprintf(
         f,
         "    {\"policy\": \"%s\", \"vps\": %d, \"tasks_per_sec\": %.0f, "
-        "\"best_seconds\": %.6f, \"mean_seconds\": %.6f, "
+        "\"best_seconds\": %.6f, \"median_seconds\": %.6f, "
+        "\"mean_seconds\": %.6f, "
         "\"steals\": %llu, \"steal_attempts\": %llu, "
         "\"joins_inlined\": %llu, \"joins_helped\": %llu, "
         "\"joins_slept\": %llu, \"ready_peak\": %llu, "
         "\"wakeups\": %llu, \"wakeups_skipped\": %llu}%s\n",
-        r.policy.c_str(), r.vps, r.tasks_per_sec, r.best_seconds,
-        r.mean_seconds, static_cast<unsigned long long>(s.steals),
+        r.policy.c_str(), r.vps, r.tasks_per_sec(fib_n), r.seconds.min(),
+        r.seconds.median(), r.seconds.mean(),
+        static_cast<unsigned long long>(s.steals),
         static_cast<unsigned long long>(s.steal_attempts),
         static_cast<unsigned long long>(s.joins_inlined),
         static_cast<unsigned long long>(s.joins_helped),
@@ -98,18 +100,11 @@ void write_json(const std::string& path, long fib_n, int reps,
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Speedup of the lock-free policy over the mutex baseline per VP count.
-  std::fprintf(f, "  \"speedup_vs_mutex\": {");
-  bool first = true;
-  for (const Result& r : results) {
-    if (r.policy != "steal") continue;
-    for (const Result& m : results) {
-      if (m.policy == "steal_mutex" && m.vps == r.vps) {
-        std::fprintf(f, "%s\"%d\": %.2f", first ? "" : ", ", r.vps,
-                     m.best_seconds / r.best_seconds);
-        first = false;
-      }
-    }
+  // Median throughput at each VP count over the 1-VP median.
+  std::fprintf(f, "  \"speedup_vs_1vp\": {");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::fprintf(f, "%s\"%d\": %.2f", i == 0 ? "" : ", ", results[i].vps,
+                 speedup(results, results[i]));
   }
   std::fprintf(f, "}\n}\n");
   std::fclose(f);
@@ -122,44 +117,49 @@ int main(int argc, char** argv) {
   const long fib_n = cli.get_int("fib", 21);
   const int reps = cli.get_int("reps", 3);
   const std::string out = cli.get("out", "BENCH_spawn.json");
+  const double min_speedup4 = cli.get_double("min-speedup4", 0.0);
 
   std::printf("micro_spawn_throughput: fib(%ld) = %ld tasks per run, "
-              "%d reps, best-of-reps reported\n",
+              "%d interleaved reps, best-of-reps tasks/s, median speedups\n",
               fib_n, apps::fib_task_count(fib_n), reps);
 
-  std::vector<Result> results;
-  benchutil::Table table({"policy", "vps", "tasks/sec", "best s", "steals",
-                          "attempts", "inlined", "ready-peak", "wakeups",
-                          "skipped"});
-  for (const auto policy : {anahy::PolicyKind::kWorkStealing,
-                            anahy::PolicyKind::kWorkStealingMutex}) {
-    for (const int vps : {1, 2, 4}) {
-      const Result r = run_config(policy, vps, fib_n, reps);
-      results.push_back(r);
-      table.add_row({r.policy, std::to_string(r.vps),
-                     benchutil::Table::num(r.tasks_per_sec),
-                     benchutil::Table::num(r.best_seconds),
-                     std::to_string(r.stats.steals),
-                     std::to_string(r.stats.steal_attempts),
-                     std::to_string(r.stats.joins_inlined),
-                     std::to_string(r.stats.ready_peak),
-                     std::to_string(r.stats.wakeups),
-                     std::to_string(r.stats.wakeups_skipped)});
-    }
+  std::vector<Result> results(std::size(kVpCounts));
+  for (std::size_t i = 0; i < results.size(); ++i)
+    results[i].vps = kVpCounts[i];
+  for (int rep = 0; rep < reps; ++rep)
+    for (Result& r : results) run_once(r, fib_n);
+
+  benchutil::Table table({"policy", "vps", "tasks/sec", "best s", "median s",
+                          "steals", "attempts", "inlined", "ready-peak",
+                          "wakeups", "skipped"});
+  for (const Result& r : results) {
+    table.add_row({r.policy, std::to_string(r.vps),
+                   benchutil::Table::num(r.tasks_per_sec(fib_n)),
+                   benchutil::Table::num(r.seconds.min()),
+                   benchutil::Table::num(r.seconds.median()),
+                   std::to_string(r.stats.steals),
+                   std::to_string(r.stats.steal_attempts),
+                   std::to_string(r.stats.joins_inlined),
+                   std::to_string(r.stats.ready_peak),
+                   std::to_string(r.stats.wakeups),
+                   std::to_string(r.stats.wakeups_skipped)});
   }
   std::printf("%s\n", table.to_text().c_str());
-
   for (const Result& r : results) {
-    if (r.policy != "steal") continue;
-    for (const Result& m : results) {
-      if (m.policy == "steal_mutex" && m.vps == r.vps) {
-        std::printf("vps=%d: lock-free %.2fx vs mutex baseline\n", r.vps,
-                    m.best_seconds / r.best_seconds);
-      }
-    }
+    std::printf("vps=%d: %.2fx the 1-VP median throughput\n", r.vps,
+                speedup(results, r));
   }
 
   write_json(out, fib_n, reps, results);
   std::printf("wrote %s\n", out.c_str());
+
+  if (min_speedup4 > 0) {
+    const double s4 = speedup(results, results.back());
+    if (s4 < min_speedup4) {
+      std::printf("FAIL: 4-VP speedup %.2fx < %.2fx\n", s4, min_speedup4);
+      return 1;
+    }
+    std::printf("OK: 4-VP speedup %.2fx >= %.2fx\n", s4, min_speedup4);
+  }
   return 0;
 }

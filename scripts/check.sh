@@ -13,6 +13,11 @@
 #   scripts/check.sh --mesh       # just the mesh stage (multiprocess TCP
 #                                 # demo with seeded sever/heal + scaling
 #                                 # bench JSON)
+#   scripts/check.sh --scaling    # just the VP-scaling gate: fib(28) at
+#                                 # 4 VPs must reach 2.5x 1 VP (median of
+#                                 # 9 interleaved rounds; skipped below
+#                                 # 4 CPUs). Not part of the full run:
+#                                 # host noise must not flake CI.
 #
 # Every build goes into its own directory (build/, build-asan/, ...) so the
 # tier-1 build is never clobbered by a sanitizer reconfigure.
@@ -25,13 +30,15 @@ tier1_only=0
 run_san=1
 rejuv_only=0
 mesh_only=0
+scaling_only=0
 for arg in "$@"; do
   case "$arg" in
     --tier1) tier1_only=1 ;;
     --no-san) run_san=0 ;;
     --rejuv) rejuv_only=1 ;;
     --mesh) mesh_only=1 ;;
-    *) echo "usage: scripts/check.sh [--tier1] [--no-san] [--rejuv] [--mesh]" >&2
+    --scaling) scaling_only=1 ;;
+    *) echo "usage: scripts/check.sh [--tier1] [--no-san] [--rejuv] [--mesh] [--scaling]" >&2
        exit 2 ;;
   esac
 done
@@ -82,6 +89,29 @@ if [ "$mesh_only" = 1 ]; then
   cmake --build build -j "$JOBS" --target mesh_demo ext_cluster_scaling
   mesh_stage
   echo; echo "check.sh: mesh OK"
+  exit 0
+fi
+
+# The scaling stage (docs/SCHEDULER.md, "No shared writes on the fork/join
+# path"): the paper's claim that Anahy solves faster as VPs are added, at
+# the finest grain. Needs real cores, so it skips on smaller hosts.
+scaling_stage() {
+  step "scaling: fib(28) at 1/2/4 VPs, 9 interleaved rounds, median"
+  if [ "$(nproc)" -lt 4 ]; then
+    echo "scaling: SKIP — $(nproc) CPU(s), the 2.5x gate needs >= 4"
+    return 0
+  fi
+  ./build/bench/micro_spawn_throughput --fib=28 --reps=9 \
+      --min-speedup4=2.5 --out=check_scaling.json
+  python3 -m json.tool check_scaling.json > /dev/null
+  rm -f check_scaling.json
+}
+
+if [ "$scaling_only" = 1 ]; then
+  cmake -B build -S . > /dev/null
+  cmake --build build -j "$JOBS" --target micro_spawn_throughput
+  scaling_stage
+  echo; echo "check.sh: scaling OK"
   exit 0
 fi
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "anahy/task.hpp"
@@ -29,6 +30,13 @@ class Telemetry;
 class SchedulingPolicy {
  public:
   static constexpr int kExternalVp = -1;
+
+  /// Sampling period of the push-time gauges (per-VP deque depth, the
+  /// scheduler's ready-list peak): one sample per this many pushes per
+  /// thread. A gauge sampled on every push costs an outlined call, or a
+  /// read of every VP's counters, on the hottest path for no extra
+  /// information.
+  static constexpr std::uint32_t kDepthSampleStride = 16;
 
   virtual ~SchedulingPolicy() = default;
 

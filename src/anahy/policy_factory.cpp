@@ -1,7 +1,6 @@
 #include "anahy/policy.hpp"
 #include "anahy/policy_central.hpp"
 #include "anahy/policy_steal.hpp"
-#include "anahy/policy_steal_mutex.hpp"
 
 namespace anahy {
 
@@ -12,8 +11,6 @@ std::unique_ptr<SchedulingPolicy> make_policy(PolicyKind kind, int num_vps) {
       return std::make_unique<CentralQueuePolicy>(kind);
     case PolicyKind::kWorkStealing:
       return std::make_unique<WorkStealingPolicy>(num_vps);
-    case PolicyKind::kWorkStealingMutex:
-      return std::make_unique<MutexWorkStealingPolicy>(num_vps);
   }
   return nullptr;
 }

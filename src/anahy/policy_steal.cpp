@@ -15,6 +15,11 @@ WorkStealingPolicy::WorkStealingPolicy(int num_vps)
   for (std::size_t i = 0; i < num_vps_ * kClasses; ++i)
     deques_.push_back(std::make_unique<ChaseLevDeque<Task*>>());
   ready_ = std::vector<ReadyBank>(num_vps_ + 1);
+  // Distinct non-zero xorshift seeds: fixed per slot, so victim order is
+  // reproducible run to run, but no two thieves sweep in lockstep.
+  for (std::size_t s = 0; s < ready_.size(); ++s)
+    ready_[s].victim_rng.store(0x9E3779B97F4A7C15ULL * (s + 1),
+                               std::memory_order_relaxed);
 }
 
 WorkStealingPolicy::~WorkStealingPolicy() {
@@ -153,23 +158,46 @@ TaskPtr WorkStealingPolicy::steal_external(std::size_t cls,
   return nullptr;
 }
 
+std::size_t WorkStealingPolicy::next_victim(std::size_t s, std::size_t n) {
+  std::atomic<std::uint64_t>& r = ready_[s].victim_rng;
+  std::uint64_t x = r.load(std::memory_order_relaxed);
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  r.store(x, std::memory_order_relaxed);
+  return static_cast<std::size_t>(x % n);
+}
+
+std::uint64_t WorkStealingPolicy::steals() const {
+  std::uint64_t n = 0;
+  for (const ReadyBank& bank : ready_)
+    n += bank.steals.load(std::memory_order_relaxed);
+  return n;
+}
+
+std::uint64_t WorkStealingPolicy::steal_attempts() const {
+  std::uint64_t n = 0;
+  for (const ReadyBank& bank : ready_)
+    n += bank.steal_attempts.load(std::memory_order_relaxed);
+  return n;
+}
+
 TaskPtr WorkStealingPolicy::steal_class(std::size_t self, std::size_t cls) {
   const std::size_t n = num_vps_ + 1;  // victims include the external queue
-  // Round-robin victim selection seeded by a shared counter: deterministic
-  // enough for tests, fair enough for load balancing.
-  const std::size_t start =
-      rr_seed_.fetch_add(1, std::memory_order_relaxed) % n;
+  // Each sweep starts at a victim drawn from the thief's own generator and
+  // then visits every victim once.
+  const std::size_t start = next_victim(self, n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t victim = (start + i) % n;
     if (victim == self) continue;
-    steal_attempts_.fetch_add(1, std::memory_order_relaxed);
+    bump(self, ready_[self].steal_attempts, std::uint64_t{1});
     // Per-thief telemetry: `self` is this policy's slot index, which is
     // exactly the telemetry slot (the external slot maps to "external").
     if (tele_ != nullptr)
       tele_->on_steal_attempt(static_cast<int>(self));
     if (victim == num_vps_) {
       if (TaskPtr t = steal_external(cls, self)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        bump(self, ready_[self].steals, std::uint64_t{1});
         if (tele_ != nullptr)
           tele_->on_steal_success(static_cast<int>(self));
         return t;
@@ -187,7 +215,7 @@ TaskPtr WorkStealingPolicy::steal_class(std::size_t self, std::size_t cls) {
         continue;
       }
       if (TaskPtr t = claim_deque_entry(*e, /*stolen=*/true, self)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        bump(self, ready_[self].steals, std::uint64_t{1});
         if (tele_ != nullptr)
           tele_->on_steal_success(static_cast<int>(self));
         return t;

@@ -68,19 +68,11 @@ class WorkStealingPolicy final : public SchedulingPolicy {
   /// task, keeping finished tasks alive for the whole run.
   static constexpr std::size_t kStalePurgeThreshold = 64;
 
-  /// Telemetry deque-depth sampling period: one sample per this many
-  /// pushes per slot. Depth is a statistical gauge; sampling every push
-  /// costs an outlined call on the hottest path for no extra information.
-  static constexpr std::uint32_t kDepthSampleStride = 16;
-
-  /// Cumulative number of successful steals (for runtime statistics).
-  [[nodiscard]] std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Cumulative number of successful steals (for runtime statistics);
+  /// sums the per-slot counters.
+  [[nodiscard]] std::uint64_t steals() const;
   /// Cumulative number of steal attempts, successful or not.
-  [[nodiscard]] std::uint64_t steal_attempts() const {
-    return steal_attempts_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t steal_attempts() const;
 
  private:
   static constexpr std::size_t kClasses = kNumPriorities;
@@ -122,42 +114,46 @@ class WorkStealingPolicy final : public SchedulingPolicy {
   /// in-flight claims). Every write to a worker bank comes from that VP's
   /// own thread (plain load + store); the external bank is shared by any
   /// number of foreign threads (fetch_add). `push_tick` counts pushes for
-  /// the deque-depth sampling stride under the same discipline.
+  /// the deque-depth sampling stride, and `steals`/`steal_attempts` count
+  /// this slot's steals as a thief, under the same discipline.
+  /// `victim_rng` is the slot's private victim-order generator (racy but
+  /// atomic on the shared external bank, where any value will do).
   struct alignas(64) ReadyBank {
     std::array<std::atomic<std::int64_t>, kClasses> c{};
     std::atomic<std::uint32_t> push_tick{0};
+    std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::uint64_t> steal_attempts{0};
+    std::atomic<std::uint64_t> victim_rng{0};
   };
   std::vector<ReadyBank> ready_;  // num_vps_ + 1; never resized after ctor
 
+  /// Adds `d` to a counter of slot `s`'s bank (single writer on a worker
+  /// slot, fetch_add on the shared external slot); returns the new value.
+  template <typename T>
+  T bump(std::size_t s, std::atomic<T>& v, T d) {
+    if (s == num_vps_) return v.fetch_add(d, std::memory_order_relaxed) + d;
+    const T n = v.load(std::memory_order_relaxed) + d;
+    v.store(n, std::memory_order_relaxed);
+    return n;
+  }
+
   void bump_ready(std::size_t s, std::size_t cls, std::int64_t d) {
-    std::atomic<std::int64_t>& v = ready_[s].c[cls];
-    if (s == num_vps_) {
-      v.fetch_add(d, std::memory_order_relaxed);
-    } else {
-      v.store(v.load(std::memory_order_relaxed) + d,
-              std::memory_order_relaxed);
-    }
+    bump(s, ready_[s].c[cls], d);
   }
 
   /// Advances the slot's push counter; true on every kDepthSampleStride-th
   /// push of that slot.
   bool tick_push(std::size_t s) {
-    std::atomic<std::uint32_t>& t = ready_[s].push_tick;
-    std::uint32_t v;
-    if (s == num_vps_) {
-      v = t.fetch_add(1, std::memory_order_relaxed) + 1;
-    } else {
-      v = t.load(std::memory_order_relaxed) + 1;
-      t.store(v, std::memory_order_relaxed);
-    }
-    return v % kDepthSampleStride == 0;
+    const std::uint32_t n = bump(s, ready_[s].push_tick, std::uint32_t{1});
+    return n % kDepthSampleStride == 0;
   }
+
+  /// Starting victim of slot `s`'s next steal sweep over `n` victims
+  /// (xorshift64 on the slot's own bank line: no shared write per steal).
+  std::size_t next_victim(std::size_t s, std::size_t n);
   /// Telemetry sink (null = detached); fed per-VP steal attempts/successes
   /// and push-time deque-depth samples.
   observe::Telemetry* tele_ = nullptr;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> steal_attempts_{0};
-  std::atomic<std::uint64_t> rr_seed_{0};
 };
 
 }  // namespace anahy

@@ -5,7 +5,6 @@
 
 #include "anahy/check/detector.hpp"
 #include "anahy/policy_steal.hpp"
-#include "anahy/policy_steal_mutex.hpp"
 #include "anahy/task_pool.hpp"
 #include "anahy/trace_analysis.hpp"
 
@@ -17,6 +16,10 @@ thread_local std::uint64_t Scheduler::tls_root_owner_ = 0;
 thread_local int Scheduler::tls_vp_ = SchedulingPolicy::kExternalVp;
 thread_local std::uint64_t Scheduler::tls_vp_owner_ = 0;
 thread_local bool Scheduler::tls_worker_ = false;
+thread_local TaskId Scheduler::tls_id_next_ = 0;
+thread_local TaskId Scheduler::tls_id_end_ = 0;
+thread_local std::uint64_t Scheduler::tls_id_owner_ = 0;
+thread_local std::uint32_t Scheduler::tls_fork_tick_ = 0;
 
 namespace {
 std::atomic<std::uint64_t> g_scheduler_instances{0};
@@ -124,6 +127,16 @@ bool Scheduler::on_current_stack(const Task* task) {
   return false;
 }
 
+TaskId Scheduler::next_task_id() {
+  if (tls_id_owner_ != instance_id_ || tls_id_next_ == tls_id_end_)
+      [[unlikely]] {
+    tls_id_next_ = next_id_.fetch_add(kIdBlock, std::memory_order_relaxed);
+    tls_id_end_ = tls_id_next_ + kIdBlock;
+    tls_id_owner_ = instance_id_;
+  }
+  return tls_id_next_++;
+}
+
 TaskPtr Scheduler::create_task(TaskBody body, void* input,
                                const TaskAttributes& attr, std::string label) {
   return create_task(std::move(body), input, attr, std::move(label), nullptr);
@@ -137,7 +150,7 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   // job, unless the caller attached a context explicitly (the job root).
   const bool explicit_ctx = ctx != nullptr;
   if (!explicit_ctx && f.task != nullptr) ctx = f.task->context();
-  const TaskId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const TaskId id = next_task_id();
   // allocate_shared + the pool allocator: one block per task (control block
   // and Task fused), served from the forking thread's free-list cache.
   auto task =
@@ -184,13 +197,17 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   // and retires the task instantly always finds the registry entry.
   register_task(task);
   policy_->push(task, vp);
-  stats_.record_ready_len(policy_->approx_size());
+  // The ready-list peak is a gauge: approx_size() reads every VP's bank,
+  // so sample it on the policy's depth stride instead of on every fork.
+  if (tls_fork_tick_++ % SchedulingPolicy::kDepthSampleStride == 0)
+    stats_.record_ready_len(policy_->approx_size());
   stats_.on_task_created();
   if (tele_ != nullptr) tele_->on_fork(vp);
-  // Eventcount notifies: a couple of atomic ops when nobody sleeps; the
+  // Eventcount notifies: a fence and a read when nobody sleeps; the
   // condvar is only touched for genuinely idle VPs/joiners.
-  ready_ec_.notify_one();
-  join_ec_.notify_all();  // blocked joiners may help with the new task
+  stats_.on_notify(ready_ec_.notify_one());
+  // Blocked joiners may help with the new task.
+  stats_.on_notify(join_ec_.notify_all());
   return task;
 }
 
@@ -361,12 +378,12 @@ void Scheduler::run_task(const TaskPtr& task, int vp) {
     task->set_state(TaskState::kJoined);
     retire(task.get());
   } else {
-    // The increment must precede the kFinished release store: a joiner
-    // that acquire-reads kFinished and later decrements cannot underflow.
-    finished_count_.fetch_add(1, std::memory_order_relaxed);
+    // The increment must precede the kFinished release store, so the
+    // joiner's decrement is ordered after it and the sum settles exactly.
+    stats_.list_add(RuntimeStats::List::kFinished, +1);
     task->set_state(TaskState::kFinished);  // release: publishes the result
   }
-  join_ec_.notify_all();
+  stats_.on_notify(join_ec_.notify_all());
 }
 
 int Scheduler::try_consume(const TaskPtr& task, void** result) {
@@ -379,7 +396,7 @@ int Scheduler::try_consume(const TaskPtr& task, void** result) {
     // already woken by the finish and re-checks the state.
     task->set_state(TaskState::kJoined);
     retire(task.get());
-    finished_count_.fetch_sub(1, std::memory_order_relaxed);
+    stats_.list_add(RuntimeStats::List::kFinished, -1);
   }
   if (detector_ != nullptr) {
     // The join edge orders the target's whole execution before this flow's
@@ -444,7 +461,7 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
   stats_.on_continuation();
   if (trace_.enabled()) {
     Frame& f = current_frame();
-    const TaskId cont_id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    const TaskId cont_id = next_task_id();
     const std::uint64_t job =
         f.task != nullptr && f.task->context() != nullptr
             ? f.task->context()->job
@@ -458,19 +475,24 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
   const bool may_help =
       vp != SchedulingPolicy::kExternalVp || opts_.external_helps;
   bool slept = false;
-  blocked_frames_.fetch_add(1, std::memory_order_relaxed);
+  bool waited = false;  // inlined, helped or slept: the join is classified
+  stats_.list_add(RuntimeStats::List::kBlocked, +1);
   for (;;) {
     TaskState s = task->state();
     if (s == TaskState::kJoined) {
-      blocked_frames_.fetch_sub(1, std::memory_order_relaxed);
+      stats_.list_add(RuntimeStats::List::kBlocked, -1);
       record_double_join(*task);
       return kNotFound;  // join budget raced away
     }
     if (s == TaskState::kFinished) {
-      blocked_frames_.fetch_sub(1, std::memory_order_relaxed);
-      unblocked_frames_.fetch_add(1, std::memory_order_relaxed);
+      // The target ran on another VP and finished while this flow was
+      // preparing to sleep on it: still a join that blocked on a running
+      // target, so it counts as slept and every join lands in a class.
+      if (!waited) stats_.on_join_slept();
+      stats_.list_add(RuntimeStats::List::kBlocked, -1);
+      stats_.list_add(RuntimeStats::List::kUnblocked, +1);
       const int rc = try_consume(task, result);
-      unblocked_frames_.fetch_sub(1, std::memory_order_relaxed);
+      stats_.list_add(RuntimeStats::List::kUnblocked, -1);
       if (rc == kNotFound) record_double_join(*task);
       return rc;
     }
@@ -479,12 +501,14 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
       // 1) Join-inlining: claim the target itself out of the ready list.
       if (s == TaskState::kReady && policy_->remove_specific(task, vp)) {
         stats_.on_join_inlined();
+        waited = true;
         run_task(task, vp);
         continue;
       }
       // 2) Help: run any other ready task while we wait.
       if (TaskPtr other = policy_->pop(vp)) {
         stats_.on_join_helped();
+        waited = true;
         run_task(other, vp);
         continue;
       }
@@ -501,7 +525,7 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
     }
     if (!slept) {
       stats_.on_join_slept();
-      slept = true;
+      slept = waited = true;
     }
     join_ec_.commit_wait(e);
   }
@@ -585,7 +609,7 @@ void Scheduler::notify_all() {
 void Scheduler::drain() {
   // Run ready tasks on this thread until the created == executed fixpoint:
   // nothing queued, nothing running. A task still running on a worker VP
-  // may fork more work, so we sleep on the join eventcount (bumped by both
+  // may fork more work, so we sleep on the join eventcount (notified by both
   // spawn and finish) rather than spinning, and re-check after each wake.
   const int vp = bound_vp();
   for (;;) {
@@ -612,9 +636,9 @@ void Scheduler::drain() {
 Scheduler::ListSnapshot Scheduler::lists() const {
   ListSnapshot s;
   s.ready = policy_->approx_size();
-  s.finished = finished_count_.load(std::memory_order_relaxed);
-  s.blocked = blocked_frames_.load(std::memory_order_relaxed);
-  s.unblocked = unblocked_frames_.load(std::memory_order_relaxed);
+  s.finished = stats_.list_size(RuntimeStats::List::kFinished);
+  s.blocked = stats_.list_size(RuntimeStats::List::kBlocked);
+  s.unblocked = stats_.list_size(RuntimeStats::List::kUnblocked);
   return s;
 }
 
@@ -639,15 +663,12 @@ void Scheduler::flush_profile() {
 }
 
 RuntimeStats::Snapshot Scheduler::stats_snapshot() const {
-  if (const auto* ws = dynamic_cast<const WorkStealingPolicy*>(policy_.get()))
-    stats_.record_steals(ws->steals(), ws->steal_attempts());
-  else if (const auto* mws =
-               dynamic_cast<const MutexWorkStealingPolicy*>(policy_.get()))
-    stats_.record_steals(mws->steals(), mws->steal_attempts());
-  stats_.record_wakeups(ready_ec_.wakeups() + join_ec_.wakeups(),
-                        ready_ec_.wakeups_skipped() +
-                            join_ec_.wakeups_skipped());
-  return stats_.snapshot();
+  RuntimeStats::Snapshot s = stats_.snapshot();
+  if (const auto* ws = dynamic_cast<const WorkStealingPolicy*>(policy_.get())) {
+    s.steals = ws->steals();
+    s.steal_attempts = ws->steal_attempts();
+  }
+  return s;
 }
 
 }  // namespace anahy

@@ -20,11 +20,17 @@
 //  - task state transitions (kReady -> kRunning -> kFinished -> kJoined)
 //    and the join budget are an atomic state machine on Task, so join's
 //    fast path acquire-reads the state and CAS-consumes the budget;
-//  - the live-task registry is sharded (kRegistryShards buckets keyed by
-//    TaskId, each with its own small mutex), so create/find/retire of
-//    different tasks never contend;
-//  - sleeping uses eventcounts: spawn and finish bump an epoch and only
-//    touch a condvar when some VP/joiner is actually asleep.
+//  - the live-task registry is sharded (kRegistryShards cache-line
+//    buckets, each with its own spinlock); a thread draws task ids in
+//    blocks of kIdBlock and a block maps to one shard, so a thread's
+//    create/retire stay on a line no other thread is writing;
+//  - sleeping uses eventcounts: spawn and finish issue a fence and read a
+//    waiter count, and only touch a condvar when some VP/joiner is asleep;
+//  - every per-task counter (the finished/blocked/unblocked list sizes
+//    included) is a RuntimeStats stripe of the calling thread.
+// The per-task path therefore writes only lines owned by the calling
+// thread or by the task (docs/SCHEDULER.md, "No shared writes on the
+// fork/join path").
 #pragma once
 
 #include <array>
@@ -83,10 +89,16 @@ class Scheduler {
     std::size_t unblocked = 0;
   };
 
-  /// Number of buckets of the sharded live-task registry (power of two;
-  /// tasks map to buckets by id, so concurrent create/find/retire of
-  /// distinct tasks rarely touch the same bucket mutex).
+  /// Number of buckets of the sharded live-task registry (power of two).
+  /// Tasks map to buckets by id block (id / kIdBlock), so the tasks one
+  /// thread creates share its bucket while other threads' blocks land on
+  /// other buckets.
   static constexpr std::size_t kRegistryShards = 64;
+
+  /// Task ids (continuation ids included) are drawn by each thread in
+  /// blocks of this many from the shared counter: one shared RMW per
+  /// kIdBlock forks. A single forking thread still gets dense ids 1, 2, 3…
+  static constexpr TaskId kIdBlock = 64;
 
   explicit Scheduler(const Options& opts);
   ~Scheduler();
@@ -243,17 +255,25 @@ class Scheduler {
   /// kept alive by Task::registry_guard_). Insert and unlink are O(1) and
   /// allocation-free — a map node per task costs ~10% of a fine-grained
   /// task — while find() (the by-id join path only) walks the bucket.
-  struct Shard {
+  /// One bucket per cache line, so buckets of different threads' id blocks
+  /// never false-share.
+  struct alignas(64) Shard {
     mutable ShardLock mu;
     Task* head = nullptr;
   };
 
-  [[nodiscard]] Shard& shard(TaskId id) {
-    return shards_[static_cast<std::size_t>(id) & (kRegistryShards - 1)];
+  [[nodiscard]] static std::size_t shard_index(TaskId id) {
+    return static_cast<std::size_t>(id / kIdBlock) & (kRegistryShards - 1);
   }
+  [[nodiscard]] Shard& shard(TaskId id) { return shards_[shard_index(id)]; }
   [[nodiscard]] const Shard& shard(TaskId id) const {
-    return shards_[static_cast<std::size_t>(id) & (kRegistryShards - 1)];
+    return shards_[shard_index(id)];
   }
+
+  /// Next id of the calling thread's id block, drawing a fresh block of
+  /// kIdBlock from next_id_ when the block is spent (or belongs to another
+  /// scheduler instance).
+  TaskId next_task_id();
 
   /// Registers a freshly created task in its shard (O(1), no allocation).
   void register_task(const TaskPtr& task);
@@ -290,12 +310,16 @@ class Scheduler {
   static thread_local int tls_vp_;
   static thread_local std::uint64_t tls_vp_owner_;
   static thread_local bool tls_worker_;
+  static thread_local TaskId tls_id_next_;
+  static thread_local TaskId tls_id_end_;
+  static thread_local std::uint64_t tls_id_owner_;
+  static thread_local std::uint32_t tls_fork_tick_;
 
   const std::uint64_t instance_id_;
 
   Options opts_;
   std::unique_ptr<SchedulingPolicy> policy_;
-  mutable RuntimeStats stats_;
+  RuntimeStats stats_;
   TraceGraph trace_;
   std::unique_ptr<check::Detector> detector_;
   std::unique_ptr<observe::Telemetry> tele_;       // null = telemetry off
@@ -304,10 +328,8 @@ class Scheduler {
   std::array<Shard, kRegistryShards> shards_;
   EventCount ready_ec_;  // workers waiting for ready tasks
   EventCount join_ec_;   // joiners waiting for a finish (or for help work)
-  std::atomic<TaskId> next_id_{1};  // 0 is the root flow
-  std::atomic<std::size_t> finished_count_{0};
-  std::atomic<std::size_t> blocked_frames_{0};
-  std::atomic<std::size_t> unblocked_frames_{0};
+  // 0 is the root flow. Touched once per id block, on its own line.
+  alignas(64) std::atomic<TaskId> next_id_{1};
 };
 
 }  // namespace anahy

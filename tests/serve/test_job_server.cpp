@@ -615,9 +615,10 @@ TEST(JobServer, FaultedJobStillFiresOnCompleteAndDrainCounts) {
   };
   JobHandle h = server.submit(std::move(spec));
   EXPECT_EQ(h.wait(), kFaulted);
+  server.drain();  // a faulted job is resolved work, not a drain leak
+  // on_complete may trail wait(); drain() is what waits callbacks out.
   EXPECT_EQ(callbacks.load(), 1) << "kFaulted must fire on_complete once";
   EXPECT_EQ(callback_error.load(), kFaulted);
-  server.drain();  // a faulted job is resolved work, not a drain leak
   const ServerStats s = server.stats();
   EXPECT_EQ(s.resolved_total(), 1u);
   EXPECT_EQ(s.of(Priority::kNormal).faulted, 1u);
@@ -679,10 +680,16 @@ TEST(JobServer, ObserveTextMergesTelemetryAndServeMetrics) {
 // never-dispatched, exportable jobs may change owner; everything else is
 // untouchable.
 
-/// One VP, blocked: everything submitted afterwards stays queued until
-/// the flag flips.
+/// One VP, one job at a time, blocked: everything submitted afterwards
+/// stays queued until the flag flips. max_active = 1 is what keeps it
+/// queued; unbounded, the dispatcher thread would hand each job to the
+/// runtime as soon as it wakes, racing export_queued.
 struct BlockedServer {
-  JobServer server{small_server(1)};
+  JobServer server{[] {
+    ServerOptions o = small_server(1);
+    o.max_active = 1;
+    return o;
+  }()};
   std::atomic<bool> flag{false};
   JobHandle blocker;
 
